@@ -1,37 +1,36 @@
-//! Analysis-rate benchmark: the Fenwick recency-index sweep engine and
-//! the engine-parallel broadcast against the legacy linked-list walk.
+//! Analysis-rate benchmark: the hybrid stack-distance sweep engine
+//! against per-configuration replay, its oracle.
 //!
 //! Captures the standard mix, replicates it to a few million records,
 //! then runs three sweep families — the F1-style direct-mapped size
-//! sweep, an associativity mix, and a purge-on-switch family — three
-//! ways each: the legacy walk (`oracle` feature), the Fenwick engine
-//! serially, and the Fenwick engine with batches broadcast to engine
-//! shards. All three result sets must be identical per family, and the
-//! best new-engine rate on the F1 family must be at least [`MIN_GAIN`]×
-//! the old walk (the CI floor gate). Rates are recorded machine-readably
-//! in `BENCH_analysis.json` at the workspace root.
+//! sweep, an associativity mix, and a purge-on-switch family — two ways
+//! each: one `simulate_many` pass, and one `simulate` pass per
+//! configuration. Both result sets must be identical per family, and
+//! the one-pass sweep must run at least [`MIN_GAIN`]× the replay on the
+//! F1 family (the CI floor gate). Rates are recorded machine-readably in
+//! `BENCH_analysis.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench -p atum-bench --bench analysis -- analysis
 //! ```
 
 use atum_analysis::{experiments, Scale};
-use atum_cache::{simulate_many, simulate_many_oracle, CacheConfig, MultiSim, SwitchPolicy};
+use atum_cache::{simulate, simulate_many, CacheConfig, CacheStats, SwitchPolicy};
 use atum_core::{RecordKind, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// The raw-record budget the replicated trace must exceed — big enough
-/// that the legacy walk's per-access pointer chase dominates its
-/// constant costs.
+/// that per-access work dominates each pass's constant costs.
 const RECORD_BUDGET: u64 = 4 << 20;
 
 /// Best-of timing rounds per variant (interleaved so host drift cancels
 /// in the ratios).
 const ROUNDS: usize = 3;
 
-/// CI floor: best new-engine rate over the F1 family must beat the old
-/// walk by at least this factor.
-const MIN_GAIN: f64 = 2.0;
+/// CI floor: on the F1 family, the one-pass sweep must beat
+/// per-configuration replay by at least this factor (the lowest of nine
+/// measured ratios was 1.49 on a shared 2-core host).
+const MIN_GAIN: f64 = 1.4;
 
 /// Re-stitches one copy of `src` onto `big`, keeping per-drain segment
 /// boundaries (a plain `stitch(clone)` would flatten them).
@@ -136,61 +135,39 @@ fn analysis(_c: &mut Criterion) {
         replicas += 1;
     }
     let refs = big.ref_count() as f64;
-
-    // At least 2 so the broadcast ring is always exercised, even on a
-    // single-CPU host.
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 8);
+    let replay = |cfgs: &[CacheConfig]| -> Vec<CacheStats> {
+        cfgs.iter().map(|c| simulate(&big, c)).collect()
+    };
 
     let mut rows = String::new();
     let mut f1_gain = 0.0f64;
     for fam in families() {
-        // Correctness first: all three paths must agree exactly.
-        let want = simulate_many(&big, &fam.cfgs);
+        // Correctness first: the one-pass sweep must equal its oracle.
         assert_eq!(
-            want,
-            simulate_many_oracle(&big, &fam.cfgs),
-            "{}: Fenwick engine diverged from the legacy walk",
-            fam.name
-        );
-        assert_eq!(
-            want,
-            MultiSim::new(&fam.cfgs)
-                .run_parallel(&mut big.source(), jobs)
-                .expect("in-memory source cannot fail"),
-            "{}: parallel sweep diverged from serial",
+            simulate_many(&big, &fam.cfgs),
+            replay(&fam.cfgs),
+            "{}: one-pass sweep diverged from per-config replay",
             fam.name
         );
 
         // Timing: interleave the variants inside each round.
-        let mut t_old = f64::MAX;
-        let mut t_fen = f64::MAX;
-        let mut t_par = f64::MAX;
+        let mut t_replay = f64::MAX;
+        let mut t_many = f64::MAX;
         for _ in 0..ROUNDS {
-            let (t, _) = best_of(1, || simulate_many_oracle(&big, &fam.cfgs));
-            t_old = t_old.min(t);
+            let (t, _) = best_of(1, || replay(&fam.cfgs));
+            t_replay = t_replay.min(t);
             let (t, _) = best_of(1, || simulate_many(&big, &fam.cfgs));
-            t_fen = t_fen.min(t);
-            let (t, _) = best_of(1, || {
-                MultiSim::new(&fam.cfgs)
-                    .run_parallel(&mut big.source(), jobs)
-                    .expect("in-memory source cannot fail")
-            });
-            t_par = t_par.min(t);
+            t_many = t_many.min(t);
         }
-        let old_rate = refs / t_old;
-        let fen_rate = refs / t_fen;
-        let par_rate = refs / t_par;
-        let gain = t_old / t_fen.min(t_par);
+        let replay_rate = refs / t_replay;
+        let many_rate = refs / t_many;
+        let gain = t_replay / t_many;
         if fam.name == "f1_size_sweep" {
             f1_gain = gain;
         }
         println!(
-            "bench analysis[{}]: {} configs  old-walk {old_rate:.3e} refs/s  \
-             fenwick {fen_rate:.3e} refs/s  parallel(x{jobs}) {par_rate:.3e} refs/s  \
-             ({gain:.2}x over old walk)",
+            "bench analysis[{}]: {} configs  per-config replay {replay_rate:.3e} refs/s  \
+             one-pass {many_rate:.3e} refs/s  ({gain:.2}x over replay)",
             fam.name,
             fam.cfgs.len(),
         );
@@ -199,10 +176,9 @@ fn analysis(_c: &mut Criterion) {
         }
         rows.push_str(&format!(
             "    {{\n      \"family\": \"{}\",\n      \"configs\": {},\n      \
-             \"old_walk_refs_per_sec\": {old_rate:.1},\n      \
-             \"fenwick_refs_per_sec\": {fen_rate:.1},\n      \
-             \"parallel_refs_per_sec\": {par_rate:.1},\n      \
-             \"gain_over_old_walk\": {gain:.3},\n      \
+             \"per_config_refs_per_sec\": {replay_rate:.1},\n      \
+             \"hybrid_refs_per_sec\": {many_rate:.1},\n      \
+             \"gain_over_per_config\": {gain:.3},\n      \
              \"results_identical\": true\n    }}",
             fam.name,
             fam.cfgs.len(),
@@ -211,15 +187,15 @@ fn analysis(_c: &mut Criterion) {
 
     assert!(
         f1_gain >= MIN_GAIN,
-        "F1 sweep family must run at least {MIN_GAIN}x the legacy walk, got {f1_gain:.2}x"
+        "F1 sweep family must run at least {MIN_GAIN}x per-config replay, got {f1_gain:.2}x"
     );
 
     let json = format!(
         "{{\n  \"workload\": \"standard mix (Quick) x{replicas} replicas\",\n  \
          \"unit\": \"memory references per second\",\n  \
-         \"records\": {},\n  \"refs\": {},\n  \"jobs\": {jobs},\n  \
+         \"records\": {},\n  \"refs\": {},\n  \
          \"min_gain_floor\": {MIN_GAIN},\n  \
-         \"f1_gain_over_old_walk\": {f1_gain:.3},\n  \
+         \"f1_gain_over_per_config\": {f1_gain:.3},\n  \
          \"families\": [\n{rows}\n  ]\n}}\n",
         big.len(),
         big.ref_count(),

@@ -45,8 +45,6 @@ mod tlb;
 pub use config::{
     CacheConfig, CacheConfigBuilder, ConfigError, Replacement, SwitchPolicy, WritePolicy,
 };
-#[cfg(feature = "oracle")]
-pub use multi::simulate_many_oracle;
 pub use multi::{simulate_many, simulate_many_parallel, simulate_many_stream, stackable, MultiSim};
 pub use set_assoc::{AccessKind, Cache};
 pub use sim::{

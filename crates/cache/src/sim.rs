@@ -15,7 +15,7 @@ pub(crate) fn record_kind_to_access(kind: RecordKind) -> Option<AccessKind> {
     }
 }
 
-fn cache_step(cache: &mut Cache, r: &TraceRecord) {
+pub(crate) fn cache_step(cache: &mut Cache, r: &TraceRecord) {
     match r.kind() {
         RecordKind::CtxSwitch => cache.context_switch(r.pid()),
         kind => {

@@ -1,12 +1,17 @@
 //! Property tests: the single-pass multi-configuration engine against
 //! per-configuration [`simulate`] — every [`CacheStats`] field must be
 //! identical for every configuration of a random sweep over a random
-//! access stream with context switches, under all switch policies and
-//! including the non-LRU / write-through configurations that take the
-//! grouped-replay fallback.
+//! access stream with context switches, under all switch policies, at
+//! way counts on both sides of the saturated-array cap (so both stack
+//! tiers are checked), and including the non-LRU / write-through
+//! configurations that take the grouped-replay fallback. Per-config
+//! replay is the stack engine's only oracle.
 
-use atum_cache::{simulate, simulate_many, CacheConfig, Replacement, SwitchPolicy, WritePolicy};
-use atum_core::{RecordKind, Trace, TraceRecord};
+use atum_cache::{
+    simulate, simulate_many, simulate_many_stream, CacheConfig, Replacement, SwitchPolicy,
+    WritePolicy,
+};
+use atum_core::{encode_trace, RecordKind, SegmentFileSource, Trace, TraceRecord};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -60,11 +65,13 @@ fn switch_policy() -> impl Strategy<Value = SwitchPolicy> {
 }
 
 /// A stack-engine-eligible configuration: LRU + write-back-allocate.
+/// 32 ways exceeds the 16-way saturated-array cap, so those levels run
+/// on the Fenwick recency trees.
 fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
     (
-        prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048)],
+        prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048), Just(8192)],
         prop_oneof![Just(8u32), Just(16), Just(32)],
-        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+        prop_oneof![Just(1u32), Just(2), Just(4), Just(8), Just(32)],
         switch_policy(),
     )
         .prop_filter_map("valid config", |(size, block, assoc, switch)| {
@@ -128,9 +135,19 @@ proptest! {
     ) {
         let trace = trace_of(&events);
         let many = simulate_many(&trace, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
+        // The same records streamed back from an on-disk segment file.
+        let path = std::env::temp_dir().join(format!(
+            "atum-multi-equiv-{}.atrace",
+            std::process::id()
+        ));
+        std::fs::write(&path, encode_trace(&trace)).expect("write");
+        let streamed = simulate_many_stream(&mut SegmentFileSource::new(&path), &cfgs);
+        let _ = std::fs::remove_file(&path);
+        let streamed = streamed.expect("decode");
+        for ((cfg, got), from_file) in cfgs.iter().zip(&many).zip(&streamed) {
             let want = simulate(&trace, cfg);
             prop_assert_eq!(*got, want, "sweep member diverges under {}", cfg);
+            prop_assert_eq!(*from_file, want, "file-sourced sweep diverges under {}", cfg);
         }
     }
 

@@ -1,12 +1,11 @@
 //! `atum-conc`: a deterministic concurrency model checker for the ATUM
 //! analysis pipelines.
 //!
-//! The trace pipelines (`broadcast_batches`, `stream_parallel`,
-//! `parallel_map`) are hand-rolled Mutex/Condvar/atomic protocols —
-//! exactly the kind of code where a lost notify or a missing
-//! happens-before edge hides for years because the OS scheduler never
-//! produces the bad interleaving. This crate makes the scheduler
-//! adversarial and exhaustive instead:
+//! The experiment fan-out (`parallel_map`) is a hand-rolled
+//! Mutex/atomic protocol — exactly the kind of code where a lost update
+//! or a missing happens-before edge hides for years because the OS
+//! scheduler never produces the bad interleaving. This crate makes the
+//! scheduler adversarial and exhaustive instead:
 //!
 //! - [`sync`] and [`thread`] export drop-in replacements for the `std`
 //!   types the pipelines use. In normal builds they are **zero-cost

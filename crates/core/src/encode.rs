@@ -12,8 +12,7 @@
 //!
 //! * an `S` marker byte;
 //! * varint record count and payload length (the length is what lets a
-//!   reader *skip* a segment without decoding it — the parallel segment
-//!   reader in [`crate::stream`] is built on this);
+//!   reader *skip* a segment without decoding it);
 //! * a varint capture-cycle stamp (the machine's microcycle counter at
 //!   drain time; 0 when unknown, e.g. re-encoded in-memory traces);
 //! * the PID and kernel flag of the segment's first record (its context).

@@ -1,17 +1,12 @@
-//! Native regression test for the parallel reader's abort protocol: a
-//! decode error in one worker during `with_jobs` streaming must abort
-//! all workers, join them (the call returns rather than hanging), and
-//! surface the error to the caller, with the sink having observed only
-//! the in-order prefix that precedes the bad segment.
-//!
-//! The model-checked twin in `tests/model.rs` proves the same property
-//! over every small-schedule interleaving; this test exercises the real
-//! thing at production scale and thread counts.
+//! Regression test for a decode error mid-file: both the push `stream`
+//! and the pull `next_batch` paths of a segment file source must return
+//! the error to the caller, with the sink (or the batches) having seen
+//! exactly the in-order prefix that precedes the corrupt segment.
 
 use atum_core::{
-    RecordKind, SegmentFileSource, SegmentWriter, Trace, TraceRecord, TraceSource, TraceStreamError,
+    RecordKind, SegmentFileSource, SegmentWriter, TraceRecord, TraceSource, TraceStreamError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn segment_file(tag: &str, segs: u32, per: u32) -> PathBuf {
     let path = std::env::temp_dir().join(format!("atum-abort-{tag}-{}.atrace", std::process::id()));
@@ -19,15 +14,7 @@ fn segment_file(tag: &str, segs: u32, per: u32) -> PathBuf {
     let mut buf = Vec::new();
     for s in 0..segs {
         buf.clear();
-        for i in 0..per {
-            buf.push(TraceRecord::new(
-                RecordKind::Read,
-                0x4000 + s * 0x1000 + i * 4,
-                4,
-                (s % 3) as u8,
-                false,
-            ));
-        }
+        buf.extend(segment_records(s, per));
         w.write_segment(&buf, u64::from(s)).unwrap();
     }
     w.finish().unwrap();
@@ -66,76 +53,91 @@ fn payload_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     spans
 }
 
+/// The records of segment `s` as `segment_file` wrote them.
+fn segment_records(s: u32, per: u32) -> impl Iterator<Item = TraceRecord> {
+    (0..per).map(move |i| {
+        TraceRecord::new(
+            RecordKind::Read,
+            0x4000 + s * 0x1000 + i * 4,
+            4,
+            (s % 3) as u8,
+            false,
+        )
+    })
+}
+
+/// Overwrites segment `bad`'s payload with garbage; the headers stay
+/// intact, so the error surfaces while decoding that segment.
+fn corrupt_payload(path: &Path, segs: u32, bad: usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let spans = payload_spans(&bytes);
+    assert_eq!(spans.len(), segs as usize);
+    let (off, len) = spans[bad];
+    for b in &mut bytes[off..off + len] {
+        *b = 0xFF;
+    }
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Pushes the whole source through `stream`, returning the outcome and
+/// every record the sink saw.
+fn streamed(path: &Path) -> (Result<(), TraceStreamError>, Vec<TraceRecord>) {
+    let mut seen = Vec::new();
+    let res = SegmentFileSource::new(path).stream(&mut |records| seen.extend_from_slice(records));
+    (res, seen)
+}
+
+/// Pulls the whole source through `next_batch`, returning the first
+/// error (if any) and every record the batches carried before it.
+fn pulled(path: &Path) -> (Result<(), TraceStreamError>, Vec<TraceRecord>) {
+    let mut src = SegmentFileSource::new(path);
+    let mut seen = Vec::new();
+    loop {
+        match src.next_batch() {
+            Ok(Some(batch)) => seen.extend(batch.iter()),
+            Ok(None) => return (Ok(()), seen),
+            Err(e) => return (Err(e), seen),
+        }
+    }
+}
+
 #[test]
-fn worker_decode_error_aborts_all_workers_and_returns_the_error() {
+fn mid_file_decode_error_returns_the_error_after_the_in_order_prefix() {
     const SEGS: u32 = 24;
     const PER: u32 = 50;
     const BAD: usize = 7;
     let path = segment_file("mid", SEGS, PER);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let spans = payload_spans(&bytes);
-    assert_eq!(spans.len(), SEGS as usize);
-    let (off, len) = spans[BAD];
-    for b in &mut bytes[off..off + len] {
-        *b = 0xFF;
-    }
-    std::fs::write(&path, bytes).unwrap();
+    corrupt_payload(&path, SEGS, BAD);
+    let expect_prefix: Vec<TraceRecord> = (0..BAD as u32)
+        .flat_map(|s| segment_records(s, PER))
+        .collect();
 
-    let expect_prefix: Vec<TraceRecord> = {
-        let mut t = Trace::new();
-        for s in 0..BAD as u32 {
-            for i in 0..PER {
-                t.push(TraceRecord::new(
-                    RecordKind::Read,
-                    0x4000 + s * 0x1000 + i * 4,
-                    4,
-                    (s % 3) as u8,
-                    false,
-                ));
-            }
-        }
-        t.records().to_vec()
-    };
-
-    for jobs in [2, 4, 8] {
-        let mut seen = Vec::new();
-        let res = SegmentFileSource::with_jobs(&path, jobs)
-            .stream(&mut |records| seen.extend_from_slice(records));
+    for (api, (res, seen)) in [("stream", streamed(&path)), ("next_batch", pulled(&path))] {
         assert!(
             matches!(res, Err(TraceStreamError::Decode(_))),
-            "jobs={jobs}: expected a decode error, got {res:?}"
+            "{api}: expected a decode error, got {res:?}"
         );
         assert_eq!(
             seen, expect_prefix,
-            "jobs={jobs}: sink must observe exactly the in-order prefix"
+            "{api}: must observe exactly the in-order prefix"
         );
-        // The call returned with all workers joined (scoped threads
-        // cannot outlive the call); a fresh pass over the same source
-        // must behave identically — no leaked state.
-        let res2 = SegmentFileSource::with_jobs(&path, jobs).stream(&mut |_| {});
-        assert!(matches!(res2, Err(TraceStreamError::Decode(_))));
     }
-
-    // The sequential path reports the same error class.
-    let res = SegmentFileSource::new(&path).stream(&mut |_| {});
-    assert!(matches!(res, Err(TraceStreamError::Decode(_))));
-
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn error_in_first_segment_yields_empty_prefix() {
     let path = segment_file("first", 6, 40);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let (off, len) = payload_spans(&bytes)[0];
-    for b in &mut bytes[off..off + len] {
-        *b = 0xFF;
+    corrupt_payload(&path, 6, 0);
+    for (api, (res, seen)) in [("stream", streamed(&path)), ("next_batch", pulled(&path))] {
+        assert!(
+            matches!(res, Err(TraceStreamError::Decode(_))),
+            "{api}: expected a decode error, got {res:?}"
+        );
+        assert!(
+            seen.is_empty(),
+            "{api}: nothing precedes the corrupt segment"
+        );
     }
-    std::fs::write(&path, bytes).unwrap();
-
-    let mut seen = 0usize;
-    let res = SegmentFileSource::with_jobs(&path, 4).stream(&mut |records| seen += records.len());
-    assert!(res.is_err());
-    assert_eq!(seen, 0, "nothing precedes the corrupt segment");
     std::fs::remove_file(&path).ok();
 }
