@@ -176,12 +176,14 @@ pub fn t1_technique_comparison(scale: Scale) -> Result<Report, RunnerError> {
 // ── T2: trace characteristics ─────────────────────────────────────────
 
 /// T2 — the trace-characteristics table (the paper's per-benchmark trace
-/// statistics): reference mix, OS fraction, switches, pages.
+/// statistics): reference mix, OS fraction, switches, pages. `run` is
+/// the standard-mix capture ([`capture_standard_mix`]): it is the mix
+/// row, and the quantum sweep's row at the standard quantum.
 ///
 /// # Errors
 ///
 /// Any [`RunnerError`].
-pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
+pub fn t2_trace_characteristics(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
     let suite = match scale {
         Scale::Quick => vec![
             atum_workloads::matrix("matrix", 6),
@@ -200,23 +202,26 @@ pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
         Scale::Full => &[10_000, 20_000, 60_000, 240_000],
     };
 
-    // Every capture this experiment needs, fanned across the job pool.
-    // Each capture is deterministic, and `parallel_map` returns results
-    // in input order, so rows are identical at any thread count.
+    // Every capture this experiment needs beyond `run`, fanned across
+    // the job pool. Each capture is deterministic, and `parallel_map`
+    // returns results in input order, so rows are identical at any
+    // thread count.
     enum Job<'a> {
         Solo(&'a atum_workloads::Workload),
-        Mix,
         Quantum(u32),
     }
     let jobs: Vec<Job> = suite
         .iter()
         .map(Job::Solo)
-        .chain(std::iter::once(Job::Mix))
-        .chain(quanta.iter().map(|&qq| Job::Quantum(qq)))
+        .chain(
+            quanta
+                .iter()
+                .filter(|&&qq| qq != q)
+                .map(|&qq| Job::Quantum(qq)),
+        )
         .collect();
     let runs = crate::parallel::parallel_map(crate::parallel::jobs(), jobs, |_, j| match j {
         Job::Solo(w) => capture_mix(std::slice::from_ref(w), q, BUDGET),
-        Job::Mix => capture_standard_mix(scale),
         Job::Quantum(qq) => capture_mix(&mix(scale), qq, BUDGET),
     });
     let mut runs = runs.into_iter();
@@ -240,7 +245,6 @@ pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
         ]);
     }
     // The multiprogrammed mix as the final row.
-    let run = runs.next().expect("mix run")?;
     let s = run.trace.stats();
     t.row([
         format!("mix({})", mix(scale).len()),
@@ -261,7 +265,13 @@ pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
     // the knob that turns a batch machine into a timesharing one.
     let mut qt = Table::new(["quantum (cycles)", "%OS", "ctx switches"]);
     for &qq in quanta {
-        let run = runs.next().expect("quantum run")?;
+        let owned;
+        let run = if qq == q {
+            run
+        } else {
+            owned = runs.next().expect("quantum run")?;
+            &owned
+        };
         let s = run.trace.stats();
         qt.row([
             qq.to_string(),
@@ -876,7 +886,7 @@ pub const ALL_IDS: [&str; 13] = [
 pub fn needs_shared(id: &str) -> bool {
     matches!(
         id,
-        "f1" | "f2" | "f3" | "f4" | "f5" | "f6" | "e1" | "e2" | "e3" | "e4"
+        "t2" | "f1" | "f2" | "f3" | "f4" | "f5" | "f6" | "e1" | "e2" | "e3" | "e4"
     )
 }
 
@@ -903,7 +913,6 @@ pub fn run_by_id(
     } else {
         match id {
             "t1" => return t1_technique_comparison(scale),
-            "t2" => return t2_trace_characteristics(scale),
             "a1" => return a1_patch_cost(scale),
             other => {
                 return Err(RunnerError::Boot(format!(
@@ -913,6 +922,7 @@ pub fn run_by_id(
         }
     };
     match id {
+        "t2" => t2_trace_characteristics(scale, run),
         "f1" => f1_os_vs_user(scale, run),
         "f2" => f2_switch_policy(scale, run),
         "f3" => f3_block_size(scale, run),
@@ -923,7 +933,7 @@ pub fn run_by_id(
         "e2" => e2_compaction(scale, run),
         "e3" => e3_os_breakdown(scale, run),
         "e4" => e4_working_set(scale, run),
-        _ => unreachable!("needs_shared covers exactly the f/e ids"),
+        _ => unreachable!("needs_shared covers exactly t2 and the f/e ids"),
     }
 }
 

@@ -53,29 +53,38 @@ fn f1_quick_matches_golden() {
     assert_matches_golden("f1", include_str!("golden/f1-quick.txt"));
 }
 
-/// The three engine tiers must produce byte-identical experiment
-/// output: every capture the pipeline performs — boot, tracing,
-/// stitching, simulation — goes through machines whose tier is set by
-/// the process-global default, and the tiers are proven
-/// observationally identical by the differential suites in
-/// `atum-bench`. Running the quick-scale t1/t2/f1 under each tier and
+/// Both engine tiers must produce byte-identical experiment output:
+/// every capture the pipeline performs — boot, tracing, stitching,
+/// simulation — goes through machines whose tier is set by the
+/// process-global default, and the tiers are proven observationally
+/// identical by the differential suite in `atum-bench`. Running the
+/// quick-scale t1/t2/f1 under each tier and
 /// diffing against the same golden files closes the loop end to end:
 /// a tier divergence anywhere in a full experiment pipeline shows up
 /// here as a byte diff.
 #[test]
 fn output_identical_across_engine_tiers() {
     use atum_machine::{set_default_engine_tier, EngineTier};
-    for tier in [
-        EngineTier::Reference,
-        EngineTier::Fast,
-        EngineTier::Superblock,
-    ] {
+    for tier in [EngineTier::Reference, EngineTier::Fast] {
         set_default_engine_tier(tier);
         assert_matches_golden("t1", include_str!("golden/t1-quick.txt"));
         assert_matches_golden("t2", include_str!("golden/t2-quick.txt"));
         assert_matches_golden("f1", include_str!("golden/f1-quick.txt"));
     }
     set_default_engine_tier(EngineTier::default());
+}
+
+/// T2 takes its mix row (and the quantum sweep's row at the standard
+/// quantum) from the shared standard-mix capture. Handing it the shared
+/// run must print exactly what it prints when it captures its own, and
+/// both must match the golden file.
+#[test]
+fn t2_shared_capture_matches_own_capture() {
+    let shared = experiments::capture_standard_mix(Scale::Quick).unwrap();
+    let with = experiments::run_by_id("t2", Scale::Quick, Some(&shared)).unwrap();
+    let without = experiments::run_by_id("t2", Scale::Quick, None).unwrap();
+    assert_eq!(with.to_string(), without.to_string());
+    assert_eq!(format!("{with}\n\n"), include_str!("golden/t2-quick.txt"));
 }
 
 /// `--jobs 1` and `--jobs 4` must print the same bytes: `parallel_map`

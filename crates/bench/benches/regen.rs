@@ -16,7 +16,7 @@ fn regen(c: &mut Criterion) {
         b.iter(|| experiments::t1_technique_comparison(Scale::Quick).unwrap())
     });
     g.bench_function("t2_trace_characteristics", |b| {
-        b.iter(|| experiments::t2_trace_characteristics(Scale::Quick).unwrap())
+        b.iter(|| experiments::t2_trace_characteristics(Scale::Quick, &shared).unwrap())
     });
     g.bench_function("f1_os_vs_user", |b| {
         b.iter(|| experiments::f1_os_vs_user(Scale::Quick, &shared).unwrap())

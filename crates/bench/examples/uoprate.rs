@@ -1,7 +1,7 @@
-//! Quick engine-throughput probe: superblock vs fast vs reference
-//! interpreter on the untraced and ATUM-patched bench workloads. Trials
-//! are interleaved so host-speed drift hits all tiers equally; the
-//! ratios are the numbers to watch.
+//! Quick engine-throughput probe: fast vs reference interpreter on the
+//! untraced and ATUM-patched bench workloads. Trials are interleaved so
+//! host-speed drift hits both tiers equally; the ratio is the number to
+//! watch.
 
 use atum_core::{PatchStyle, Tracer};
 use atum_machine::EngineTier;
@@ -26,11 +26,7 @@ fn main() {
         }
         m
     };
-    const TIERS: [EngineTier; 3] = [
-        EngineTier::Superblock,
-        EngineTier::Fast,
-        EngineTier::Reference,
-    ];
+    const TIERS: [EngineTier; 2] = [EngineTier::Fast, EngineTier::Reference];
     for (name, style) in [
         ("untraced", None),
         ("atum_scratch", Some(PatchStyle::Scratch)),
@@ -38,7 +34,7 @@ fn main() {
     ] {
         let mut probe = load(style);
         probe.run(u64::MAX);
-        let mut best = [f64::MAX; 3];
+        let mut best = [f64::MAX; 2];
         for _ in 0..8 {
             for (i, tier) in TIERS.iter().enumerate() {
                 let mut m = load(style);
@@ -49,14 +45,12 @@ fn main() {
             }
         }
         println!(
-            "{name:<14} {:>8} insns {:>9} cycles  sb {:>7.3}ms ({:.1} ns/uop)  fast {:>7.3}ms  ref {:>7.3}ms  sb/ref {:.2}x  sb/fast {:.2}x",
+            "{name:<14} {:>8} insns {:>9} cycles  fast {:>7.3}ms ({:.1} ns/uop)  ref {:>7.3}ms  fast/ref {:.2}x",
             probe.insns(),
             probe.cycles(),
             best[0] * 1e3,
             best[0] / probe.cycles() as f64 * 1e9,
             best[1] * 1e3,
-            best[2] * 1e3,
-            best[2] / best[0],
             best[1] / best[0]
         );
     }

@@ -38,45 +38,39 @@ pub mod fast;
 mod mem;
 mod mmu;
 pub mod regs;
-pub mod superblock;
 
 pub use engine::{RefCounts, RunExit};
 pub use fast::FastImage;
 pub use mem::{MemError, MemLayout, PhysMemory};
 pub use mmu::{Tlb, TlbStats};
 pub use regs::{PrvFile, RegFile};
-pub use superblock::{SbCache, SbOp, Superblock};
 
 /// Which interpreter drives [`Machine::run`] / [`Machine::step_insns`].
-/// All three tiers produce identical architectural state, traces,
-/// counters and microcycle counts (the three-way differential suite in
-/// `atum-bench` pins this); they differ only in host throughput.
+/// Both tiers produce identical architectural state, traces, counters
+/// and microcycle counts (the differential suite in `atum-bench` pins
+/// this); they differ only in host throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineTier {
     /// The word-at-a-time reference interpreter — slow, obviously
     /// correct, kept as the oracle.
     Reference,
-    /// The predecoded per-op fast engine (PR 4).
-    Fast,
-    /// The fast engine plus the traced-superblock tier: hot micro-paths
-    /// are stitched into whole-block dispatches (see
-    /// [`superblock`]).
+    /// The predecoded per-op fast engine (see [`fast`]).
     #[default]
-    Superblock,
+    Fast,
 }
 
 use atum_arch::{CpuMode, Gpr, PrivReg, Psl};
 use atum_ucode::{stock, ControlStore, Entry};
 
 /// Process-global default [`EngineTier`] for newly created machines
-/// (`2` = [`EngineTier::Superblock`], the enum's default).
-static DEFAULT_TIER: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(2);
+/// (`1` = [`EngineTier::Fast`], the enum's default).
+static DEFAULT_TIER: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(1);
 
 /// Sets the [`EngineTier`] every subsequently created [`Machine`] starts
 /// on. Harnesses that build machines deep inside a pipeline (the
 /// experiment runner in `atum-analysis`) can be tier-toggled wholesale
 /// with this — the tier byte-identity suite runs the quick-scale
-/// experiments under every tier and asserts identical output. Existing
+/// experiments under both tiers and asserts identical output. Existing
 /// machines are unaffected; use [`Machine::set_engine_tier`] for those.
 pub fn set_default_engine_tier(tier: EngineTier) {
     DEFAULT_TIER.store(tier as u8, std::sync::atomic::Ordering::Relaxed);
@@ -87,8 +81,7 @@ pub fn set_default_engine_tier(tier: EngineTier) {
 pub fn default_engine_tier() -> EngineTier {
     match DEFAULT_TIER.load(std::sync::atomic::Ordering::Relaxed) {
         0 => EngineTier::Reference,
-        1 => EngineTier::Fast,
-        _ => EngineTier::Superblock,
+        _ => EngineTier::Fast,
     }
 }
 
@@ -123,14 +116,8 @@ pub struct Machine {
     pub(crate) xc: mmu::XlateCache,
     /// Which interpreter `run`/`step_insns` use.
     pub(crate) tier: EngineTier,
-    /// Superblock cache for the superblock tier (keyed on the store
-    /// version and `sb_epoch`; see [`superblock::SbCache`]).
-    pub(crate) sblocks: superblock::SbCache,
-    /// TB/mapping-event epoch: bumped on every translation-structure
-    /// event (TBIA/TBIS writes, `tbflush` micro-ops, base/length/MAPEN
-    /// register writes) so the superblock cache invalidates at exactly
-    /// the points the translation micro-cache flushes.
-    pub(crate) sb_epoch: u64,
+    /// TB/mapping events so far (see [`Machine::tb_events`]).
+    pub(crate) tb_events: u64,
 }
 
 impl Machine {
@@ -168,8 +155,7 @@ impl Machine {
             fast: fast::FastImage::empty(),
             xc: mmu::XlateCache::new(),
             tier: default_engine_tier(),
-            sblocks: superblock::SbCache::empty(),
-            sb_epoch: 0,
+            tb_events: 0,
         };
         m.regs.psl = Psl::new();
         m.psl_at_start = m.regs.psl;
@@ -284,6 +270,13 @@ impl Machine {
         self.tlb.stats()
     }
 
+    /// TB/mapping events so far: TBIA/TBIS writes, `tbflush` micro-ops
+    /// and base/length/MAPEN register writes — exactly the points the
+    /// fast engine's translation micro-cache flushes.
+    pub fn tb_events(&self) -> u64 {
+        self.tb_events
+    }
+
     /// Takes everything the console has output so far.
     pub fn take_console_output(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.console_out)
@@ -298,23 +291,6 @@ impl Machine {
     /// console "continue" command; used after trace-buffer-full halts).
     pub fn resume(&mut self) {
         self.halted = false;
-    }
-
-    /// Selects the word-at-a-time reference interpreter instead of the
-    /// predecoded fast engine. Both produce identical architectural
-    /// state, traces, counters and microcycle counts (the differential
-    /// suite pins this); the reference path exists as the oracle and for
-    /// debugging the fast one.
-    ///
-    /// Kept for PR 4 era callers: `true` selects
-    /// [`EngineTier::Reference`], `false` [`EngineTier::Fast`]. New code
-    /// should use [`Machine::set_engine_tier`].
-    pub fn set_reference_engine(&mut self, on: bool) {
-        self.tier = if on {
-            EngineTier::Reference
-        } else {
-            EngineTier::Fast
-        };
     }
 
     /// Selects the execution tier for [`Machine::run`] /
@@ -346,29 +322,14 @@ impl Machine {
         &self.fast
     }
 
-    /// Rekeys (and empties) the superblock cache if the control store
-    /// has been mutated since it was last keyed. The TB-event epoch is
-    /// checked lazily at every probe, so it needs no eager handling
-    /// here.
-    pub(crate) fn ensure_superblocks(&mut self) {
-        if self.sblocks.version() != self.cs.version() {
-            self.sblocks.reset(
-                self.cs.version(),
-                self.sb_epoch,
-                self.cs.entry(Entry::Fetch),
-                self.fast.ops.len(),
-            );
+    /// Compatibility view for callers written against the retired
+    /// superblock tier: `epoch()` reads [`Machine::tb_events`] and
+    /// `len()` is always 0.
+    #[doc(hidden)]
+    pub fn superblock_cache(&self) -> RetiredSbCache {
+        RetiredSbCache {
+            tb_events: self.tb_events,
         }
-    }
-
-    /// The superblock cache, rekeyed first if the control store has been
-    /// mutated — the inspection point for external verifiers of the
-    /// superblock stitching (the `superblock` pass in `atum-mclint`
-    /// re-derives every cached block from the micro-words and diffs).
-    pub fn superblock_cache(&mut self) -> &superblock::SbCache {
-        self.ensure_fast();
-        self.ensure_superblocks();
-        &self.sblocks
     }
 
     /// Runs until halt, returning an error on a cycle-limit or fatal exit.
@@ -381,5 +342,26 @@ impl Machine {
             RunExit::Halted => Ok(()),
             other => Err(other),
         }
+    }
+}
+
+/// What [`Machine::superblock_cache`] returns now that the superblock
+/// tier is retired: no blocks, and the TB-event count as its epoch.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct RetiredSbCache {
+    tb_events: u64,
+}
+
+impl RetiredSbCache {
+    /// The TB-event count ([`Machine::tb_events`]).
+    pub fn epoch(&self) -> u64 {
+        self.tb_events
+    }
+
+    /// Always 0: no blocks are formed.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        0
     }
 }

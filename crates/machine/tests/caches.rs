@@ -14,7 +14,7 @@
 //! PTEs while the affected translations are hot.
 
 use atum_arch::{PageProt, PrivReg, Pte};
-use atum_machine::{Machine, MemLayout, RunExit};
+use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
 use atum_ucode::MicroOp;
 
 const ORG: u32 = 0x1000;
@@ -179,6 +179,38 @@ fn tbia_drops_every_hot_translation() {
     assert_eq!(m.gpr(1), 0x5A5A);
     assert_eq!(m.gpr(2), 0xBEEF, "no stale translation survived TBIA");
     assert!(m.tlb_stats().misses >= 2, "re-walk after the flush");
+}
+
+/// `tb_events` counts translation-structure events one apiece: TBIA,
+/// TBIS and a mapping-register write (here MAPEN and P0BR) each bump
+/// it, and an ordinary instruction does not — on both engine tiers.
+#[test]
+fn tb_events_count_tbia_tbis_and_mapping_register_writes() {
+    let src = format!(
+        "start: mtpr #1, #56\n\
+         movl #1, r1\n\
+         mtpr #0, #57                 ; TBIA\n\
+         mtpr #0x4000, #58            ; TBIS\n\
+         mtpr #{P0_TABLE:#x}, #8      ; P0BR\n halt"
+    );
+    for tier in [EngineTier::Reference, EngineTier::Fast] {
+        let mut m = load(&src);
+        m.set_engine_tier(tier);
+        setup_guest_visible_mapping(&mut m);
+        let mut seen = vec![m.tb_events()];
+        for _ in 0..5 {
+            assert_eq!(m.step_insns(1, 1_000_000), None);
+            seen.push(m.tb_events());
+        }
+        let bumps: Vec<u64> = seen.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(
+            bumps,
+            [1, 0, 1, 1, 1],
+            "{tier:?}: MAPEN, movl, TBIA, TBIS, P0BR"
+        );
+        let view = m.superblock_cache();
+        assert_eq!((view.epoch(), view.len()), (m.tb_events(), 0));
+    }
 }
 
 // ── FastImage staleness ───────────────────────────────────────────────
