@@ -22,16 +22,22 @@ pub struct WorkingSet {
     pub windows: usize,
 }
 
-/// Incremental working-set state for one window size: feed references
-/// with [`WsState::step`], settle with [`WsState::finish`].
+/// One window size's state: a stamp per dense page id. A page is new
+/// to the current window iff its stamp differs from the window's
+/// number, so a window boundary bumps the number instead of clearing a
+/// set.
 #[derive(Debug)]
 struct WsState {
     window: usize,
+    /// The 1-based number of the window that last touched each page id
+    /// (0 = never); the current window's is `windows + 1`.
+    stamps: Vec<usize>,
+    /// Distinct pages in the current window.
+    pages: usize,
+    in_window: usize,
     mean_acc: f64,
     max_pages: usize,
     windows: usize,
-    current: HashMap<(u8, u32), u32>,
-    in_window: usize,
 }
 
 impl WsState {
@@ -39,25 +45,27 @@ impl WsState {
         assert!(window > 0, "window must be positive");
         WsState {
             window,
+            stamps: Vec::new(),
+            pages: 0,
+            in_window: 0,
             mean_acc: 0.0,
             max_pages: 0,
             windows: 0,
-            current: HashMap::new(),
-            in_window: 0,
         }
     }
 
-    fn step(&mut self, r: &TraceRecord) {
-        if !r.is_ref() {
-            return;
+    fn step(&mut self, id: usize) {
+        let stamp = self.windows + 1;
+        if self.stamps[id] != stamp {
+            self.stamps[id] = stamp;
+            self.pages += 1;
         }
-        *self.current.entry((r.pid(), r.page())).or_insert(0) += 1;
         self.in_window += 1;
         if self.in_window == self.window {
-            self.mean_acc += self.current.len() as f64;
-            self.max_pages = self.max_pages.max(self.current.len());
+            self.mean_acc += self.pages as f64;
+            self.max_pages = self.max_pages.max(self.pages);
             self.windows += 1;
-            self.current.clear();
+            self.pages = 0;
             self.in_window = 0;
         }
     }
@@ -76,15 +84,51 @@ impl WsState {
     }
 }
 
+/// The one working-set kernel: every window size of a curve measured in
+/// a single pass. Each reference's `(pid, page)` is interned to a dense
+/// id once, and that id indexes every window's stamps.
+struct WsKernel {
+    ids: HashMap<u64, usize>,
+    states: Vec<WsState>,
+}
+
+impl WsKernel {
+    fn new(windows: &[usize]) -> WsKernel {
+        WsKernel {
+            ids: HashMap::new(),
+            states: windows.iter().map(|&w| WsState::new(w)).collect(),
+        }
+    }
+
+    fn feed(&mut self, records: &[TraceRecord]) {
+        for r in records {
+            if !r.is_ref() {
+                continue;
+            }
+            let key = ((r.pid() as u64) << 32) | r.page() as u64;
+            let fresh = self.ids.len();
+            let id = *self.ids.entry(key).or_insert(fresh);
+            if id == fresh {
+                for s in &mut self.states {
+                    s.stamps.push(0);
+                }
+            }
+            for s in &mut self.states {
+                s.step(id);
+            }
+        }
+    }
+
+    fn finish(&self) -> Vec<WorkingSet> {
+        self.states.iter().map(WsState::finish).collect()
+    }
+}
+
 /// Computes the working set of `trace` at one window size. Pages are
 /// distinguished per process id (two processes touching the same VA are
 /// two pages of demand).
 pub fn working_set(trace: &Trace, window: usize) -> WorkingSet {
-    let mut state = WsState::new(window);
-    for r in trace.iter() {
-        state.step(r);
-    }
-    state.finish()
+    working_set_curve(trace, &[window])[0]
 }
 
 /// The out-of-core form of [`working_set`]: one pass over any
@@ -98,24 +142,20 @@ pub fn working_set_stream<S: TraceSource>(
     source: &mut S,
     window: usize,
 ) -> Result<WorkingSet, TraceStreamError> {
-    let mut state = WsState::new(window);
-    source.stream(&mut |batch| {
-        for r in batch {
-            state.step(r);
-        }
-    })?;
-    Ok(state.finish())
+    Ok(working_set_curve_stream(source, &[window])?[0])
 }
 
-/// Computes the working-set curve across several window sizes.
+/// Computes the working-set curve across several window sizes, all in
+/// one pass over the trace.
 pub fn working_set_curve(trace: &Trace, windows: &[usize]) -> Vec<WorkingSet> {
-    windows.iter().map(|&w| working_set(trace, w)).collect()
+    let mut kernel = WsKernel::new(windows);
+    kernel.feed(trace.records());
+    kernel.finish()
 }
 
 /// The out-of-core form of [`working_set_curve`]: every window size is
-/// measured in a **single pass** over the source (window states are
-/// independent, so one traversal feeds them all) — crucial for file
-/// sources, where the in-memory form would re-read the file per window.
+/// measured in a **single pass** over the source, identical results to
+/// the in-memory form over the same records.
 ///
 /// # Errors
 ///
@@ -124,15 +164,9 @@ pub fn working_set_curve_stream<S: TraceSource>(
     source: &mut S,
     windows: &[usize],
 ) -> Result<Vec<WorkingSet>, TraceStreamError> {
-    let mut states: Vec<WsState> = windows.iter().map(|&w| WsState::new(w)).collect();
-    source.stream(&mut |batch| {
-        for r in batch {
-            for s in &mut states {
-                s.step(r);
-            }
-        }
-    })?;
-    Ok(states.iter().map(WsState::finish).collect())
+    let mut kernel = WsKernel::new(windows);
+    source.stream(&mut |batch| kernel.feed(batch))?;
+    Ok(kernel.finish())
 }
 
 #[cfg(test)]

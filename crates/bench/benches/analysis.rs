@@ -1,14 +1,16 @@
-//! Analysis-rate benchmark: the hybrid stack-distance sweep engine
+//! Analysis-rate benchmark: the one-pass stack-distance sweep engine
 //! against per-configuration replay, its oracle.
 //!
 //! Captures the standard mix, replicates it to a few million records,
-//! then runs three sweep families — the F1-style direct-mapped size
-//! sweep, an associativity mix, and a purge-on-switch family — two ways
-//! each: one `simulate_many` pass, and one `simulate` pass per
-//! configuration. Both result sets must be identical per family, and
-//! the one-pass sweep must run at least [`MIN_GAIN`]× the replay on the
-//! F1 family (the CI floor gate). Rates are recorded machine-readably in
-//! `BENCH_analysis.json` at the workspace root.
+//! then runs four sweep families — the F1-style direct-mapped size
+//! sweep, an associativity mix, a purge-on-switch family, and a
+//! wide-associativity family up to fully associative — two ways each:
+//! one `simulate_many` pass, and one `simulate` pass per configuration.
+//! Both result sets must be identical per family, and the one-pass sweep
+//! must run at least [`MIN_GAIN`]× the replay on the F1 family (the CI
+//! floor gate; the other families are recorded, not gated). Rates are
+//! recorded machine-readably in `BENCH_analysis.json` at the workspace
+//! root.
 //!
 //! ```text
 //! cargo bench -p atum-bench --bench analysis -- analysis
@@ -50,62 +52,49 @@ struct Family {
     cfgs: Vec<CacheConfig>,
 }
 
-fn families() -> Vec<Family> {
-    // F1-style: direct-mapped size sweep, 16 B blocks — the paper's
-    // complete-vs-user miss-rate family and the gated workload.
-    let f1: Vec<CacheConfig> = [1u32, 2, 4, 8, 16, 32, 64]
-        .into_iter()
-        .map(|kb| {
+/// Every `(size, ways)` pair of a grid, sizes outer, 16 B blocks; `0`
+/// ways is fully associative (one set of `size / 16` ways).
+fn grid(kbs: &[u32], ways: &[u32], switch: SwitchPolicy) -> Vec<CacheConfig> {
+    kbs.iter()
+        .flat_map(|&kb| ways.iter().map(move |&w| (kb << 10, w)))
+        .map(|(size, w)| {
             CacheConfig::builder()
-                .size(kb << 10)
+                .size(size)
                 .block(16)
-                .assoc(1)
+                .assoc(if w == 0 { size / 16 } else { w })
+                .switch_policy(switch)
                 .build()
                 .unwrap()
         })
-        .collect();
-    // Associativity mix: sizes x ways in one shared stack.
-    let mut assoc = Vec::new();
-    for kb in [4u32, 16, 64] {
-        for ways in [1u32, 2, 4, 8] {
-            assoc.push(
-                CacheConfig::builder()
-                    .size(kb << 10)
-                    .block(16)
-                    .assoc(ways)
-                    .build()
-                    .unwrap(),
-            );
-        }
-    }
-    // Purge-on-switch: the multiprogramming family, exercising the
-    // flush path's shared resident walk.
-    let flush: Vec<CacheConfig> = [2u32, 8, 32]
-        .into_iter()
-        .flat_map(|kb| {
-            [1u32, 2].into_iter().map(move |ways| {
-                CacheConfig::builder()
-                    .size(kb << 10)
-                    .block(16)
-                    .assoc(ways)
-                    .switch_policy(SwitchPolicy::Flush)
-                    .build()
-                    .unwrap()
-            })
-        })
-        .collect();
+        .collect()
+}
+
+fn families() -> Vec<Family> {
+    use SwitchPolicy::{Flush, Ignore};
     vec![
+        // F1-style: direct-mapped size sweep — the paper's
+        // complete-vs-user miss-rate family and the gated workload.
         Family {
             name: "f1_size_sweep",
-            cfgs: f1,
+            cfgs: grid(&[1, 2, 4, 8, 16, 32, 64], &[1], Ignore),
         },
+        // Associativity mix: sizes x ways in one shared stack.
         Family {
             name: "assoc_mix",
-            cfgs: assoc,
+            cfgs: grid(&[4, 16, 64], &[1, 2, 4, 8], Ignore),
         },
+        // Purge-on-switch: the multiprogramming family, exercising the
+        // flush path's resident walk.
         Family {
             name: "flush_switch",
-            cfgs: flush,
+            cfgs: grid(&[2, 8, 32], &[1, 2], Flush),
+        },
+        // Wide associativity: 8 and 32 ways and fully associative (one
+        // set of 1024 or 4096 ways), the way counts past 16 the other
+        // families never reach.
+        Family {
+            name: "wide_assoc",
+            cfgs: grid(&[16, 64], &[8, 32, 0], Ignore),
         },
     ]
 }
@@ -177,7 +166,7 @@ fn analysis(_c: &mut Criterion) {
         rows.push_str(&format!(
             "    {{\n      \"family\": \"{}\",\n      \"configs\": {},\n      \
              \"per_config_refs_per_sec\": {replay_rate:.1},\n      \
-             \"hybrid_refs_per_sec\": {many_rate:.1},\n      \
+             \"one_pass_refs_per_sec\": {many_rate:.1},\n      \
              \"gain_over_per_config\": {gain:.3},\n      \
              \"results_identical\": true\n    }}",
             fam.name,

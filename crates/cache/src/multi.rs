@@ -14,38 +14,28 @@
 //! One recency order therefore answers every `(S, A)` in the sweep at
 //! once.
 //!
-//! The distance core is a **recency index** with two per-set
-//! representations, picked per level (one level = one distinct set
+//! The distance core is a **recency index** of saturated
+//! order-statistic arrays, one per level (one level = one distinct set
 //! count, the `s_max` bucket classes of the tz-counting formulation):
+//! each set keeps the `A_max` most recently touched distinct blocks in
+//! MRU order, where `A_max` is the largest way count any configuration
+//! asks of this level. The truncated stack is exact below its capacity —
+//! a block found at position `i` has set-relative stack distance exactly
+//! `i` — and a block that fell off the end has distance `≥ A_max`, which
+//! already misses in every configuration at the level. Distances the
+//! sweep can never act on are never computed, so a touch costs a scan
+//! that stops at the block, and a set's memory is its cache lines — at
+//! any width, up to fully associative (one set, `A_max` = the line
+//! count). A direct-mapped level is a single compare-and-store.
 //!
-//! * **Saturated order-statistic arrays** (`A_max ≤` [`SAT_CAP_MAX`],
-//!   the common case): each set keeps the `A_max` most recently touched
-//!   distinct blocks in MRU order, where `A_max` is the largest way
-//!   count any configuration asks of this level. The truncated stack is
-//!   exact below its capacity — a block found at position `i` has
-//!   set-relative stack distance exactly `i` — and a block that fell
-//!   off the end has distance `≥ A_max`, which already misses in every
-//!   configuration at the level. Distances the sweep can never act on
-//!   are never computed: this is the early-exit economics of the old
-//!   walk, made O(A_max) flat-array work per level instead of an
-//!   unbounded pointer chase.
-//! * **Fenwick (binary indexed) trees over access time** (high
-//!   associativity): every resident block carries the global time of
-//!   its last touch, and each set keeps a Fenwick tree over its
-//!   insertion history with one live mark per resident block. A set's
-//!   insertion times arrive in increasing order, so local slot order
-//!   *is* time order and the distance of a block last touched at `t` is
-//!   `live − prefix(t)` — answered in O(log n) regardless of way
-//!   count. Dead slots left by re-touches are compacted away once they
-//!   outnumber live ones, so memory and query depth stay O(resident)
-//!   amortised.
+//! (DESIGN §13 records the retired per-set Fenwick representation.)
 //!
 //! An absent block (compulsory or post-purge miss in every
-//! configuration) needs no distance queries at all on either
-//! representation. Block residency, first-touch history and dirty
-//! bitmasks live in one flat open-addressing table keyed by
-//! `(pid_tag, blockno)` — one multiplicative-hash probe per access
-//! where the old engine paid two SipHash container lookups.
+//! configuration) needs no distance queries at all. Block residency,
+//! first-touch history and dirty bitmasks live in one flat
+//! open-addressing table keyed by `(pid_tag, blockno)` — one
+//! multiplicative-hash probe per access — which also lists the slots
+//! currently in the stack, so a purge visits only the resident blocks.
 //!
 //! Write-back accounting is *lazy*, exactly as in DESIGN §11: a block
 //! whose stack distance reaches `A` was evicted at the moment its
@@ -74,7 +64,7 @@
 //! [`crate::sim::simulate`] per configuration. That per-configuration
 //! replay is the engine's oracle: the property suite in
 //! `tests/multi_equiv.rs` drives both over randomized traces (flushes,
-//! PID tags, and way counts on both sides of the saturated-array cap)
+//! PID tags, and way counts from direct-mapped to fully associative)
 //! and pins the invariants — hit iff set-relative distance < ways, lazy
 //! write-back settlement at re-touch/purge/end, purge invalidation =
 //! resident lines within ways, first-touch history preserved across
@@ -92,142 +82,20 @@ pub fn stackable(cfg: &CacheConfig) -> bool {
     cfg.replacement() == Replacement::Lru && cfg.write_policy() == WritePolicy::WriteBackAllocate
 }
 
-/// One set's slice of the recency index: a Fenwick tree over the set's
-/// insertion history. Insertion times are strictly increasing, so slot
-/// order is time order and a block's position is found by binary
-/// search; one live mark per resident block. Dead slots (left when a
-/// block is re-touched and its mark moves to the top) are compacted
-/// away once they outnumber the live ones.
-#[derive(Debug, Clone, Default)]
-struct SetFen {
-    /// Global touch times, ascending; append-only between compactions.
-    times: Vec<u64>,
-    /// Liveness bitset over the slots, for O(n) compaction.
-    alive: Vec<u64>,
-    /// Fenwick array of the live marks.
-    fen: Vec<u32>,
-    live: u32,
-}
-
-impl SetFen {
-    /// Sum of the marks in slots `1..=i` (1-based).
-    fn prefix(&self, mut i: usize) -> u32 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.fen[i - 1];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Adds `delta` to slot `i` (1-based).
-    fn add(&mut self, mut i: usize, delta: i32) {
-        let n = self.times.len();
-        while i <= n {
-            self.fen[i - 1] = (self.fen[i - 1] as i32 + delta) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Appends a live mark at `time` (which must exceed every stored
-    /// time). Appending never disturbs existing Fenwick cells: the new
-    /// cell covers `(i − lowbit(i), i]` and is computed from prefixes.
-    fn push(&mut self, time: u64) {
-        debug_assert!(self.times.last().is_none_or(|&t| t < time));
-        self.times.push(time);
-        let i = self.times.len();
-        let lb = i & i.wrapping_neg();
-        let cell = self.prefix(i - 1) - self.prefix(i - lb) + 1;
-        self.fen.push(cell);
-        let w = (i - 1) / 64;
-        if w >= self.alive.len() {
-            self.alive.push(0);
-        }
-        self.alive[w] |= 1u64 << ((i - 1) % 64);
-        self.live += 1;
-    }
-
-    /// Clears the live mark of the block touched at `time`.
-    fn remove(&mut self, time: u64) {
-        let slot = self.times.partition_point(|&t| t < time);
-        debug_assert_eq!(self.times.get(slot), Some(&time));
-        self.add(slot + 1, -1);
-        self.alive[slot / 64] &= !(1u64 << (slot % 64));
-        self.live -= 1;
-        // Amortised O(1): a rebuild keeps query depth and memory
-        // O(live), and needs O(len) removals to trigger again.
-        if self.times.len() >= 64 && (self.live as usize) * 2 < self.times.len() {
-            self.compact();
-        }
-    }
-
-    /// Live marks strictly more recent than `time` — the set-relative
-    /// stack distance of the block last touched then.
-    fn count_after(&self, time: u64) -> u32 {
-        let slot = self.times.partition_point(|&t| t <= time);
-        self.live - self.prefix(slot)
-    }
-
-    /// Rebuilds with only the live slots. All marks are 1 afterwards,
-    /// so each Fenwick cell is just the size of its range.
-    fn compact(&mut self) {
-        let old = std::mem::take(&mut self.times);
-        self.times = old
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.alive[i / 64] & (1u64 << (i % 64)) != 0)
-            .map(|(_, &t)| t)
-            .collect();
-        let n = self.times.len();
-        debug_assert_eq!(n, self.live as usize);
-        self.fen.clear();
-        self.fen
-            .extend((1..=n).map(|i| (i & i.wrapping_neg()) as u32));
-        self.alive.clear();
-        self.alive.resize(n.div_ceil(64), u64::MAX);
-        if !n.is_multiple_of(64) {
-            let last = self.alive.len() - 1;
-            self.alive[last] = (1u64 << (n % 64)) - 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.times.clear();
-        self.alive.clear();
-        self.fen.clear();
-        self.live = 0;
-    }
-}
-
-/// Widest way count a level serves with saturated order-statistic
-/// arrays; anything wider falls back to the Fenwick recency trees.
-const SAT_CAP_MAX: u32 = 16;
-
-/// Sentinel for an unoccupied slot in the saturated arrays and the
-/// block table (a real key is `(pid_tag << 32) | blockno`, < 2^40).
+/// Sentinel for an unoccupied slot in the recency arrays and the block
+/// table (a real key is `(pid_tag << 32) | blockno`, < 2^40).
 const EMPTY: u64 = u64::MAX;
 
-/// The per-set distance structures of one level, picked by the widest
-/// way count the level must answer (see the module docs).
-#[derive(Debug)]
-enum LevelIndex {
-    /// `cap` keys per set in MRU order (non-empty prefix, [`EMPTY`]
-    /// tail), flat in one array: exact distances below `cap`,
-    /// saturated at `cap`.
-    Sat { cap: u32, slots: Vec<u64> },
-    /// Fenwick recency tree per set, for way counts past
-    /// [`SAT_CAP_MAX`].
-    Fen { sets: Vec<SetFen> },
-}
-
-/// The per-set recency indexes of one set count in the sweep (one
-/// "level" = one distinct `2^slog`), as flat arrays indexed by the
-/// masked block number — the reusable buffers the access/flush/finish
-/// walks share, with no per-call allocation.
+/// The recency index of one set count in the sweep (one "level" = one
+/// distinct `2^slog`): `cap` keys per set in MRU order (non-empty
+/// prefix, [`EMPTY`] tail), flat in one array indexed by the masked
+/// block number. Distances are exact below `cap` and saturate at `cap`.
 #[derive(Debug)]
 struct Level {
     mask: u32,
-    index: LevelIndex,
+    /// The widest way count any configuration asks of this level.
+    cap: u32,
+    slots: Vec<u64>,
     /// Indices (into the group's `cfgs`) of the configurations indexed
     /// by this set count.
     cfg_ids: Vec<usize>,
@@ -244,22 +112,19 @@ struct GroupCfg {
 }
 
 /// One block-table slot: a `(pid_tag, blockno)` key packed as
-/// `(pid << 32) | blockno`, the global time of the block's last touch
-/// (locating its live mark in the Fenwick levels), its
-/// per-configuration dirty bits (bit i = group's i-th config), and
-/// whether it is currently in the stack (cleared by a purge; the slot
-/// itself persists to carry first-touch history across purges).
+/// `(pid << 32) | blockno`, its per-configuration dirty bits (bit i =
+/// group's i-th config), and whether it is currently in the stack
+/// (cleared by a purge; the slot itself persists to carry first-touch
+/// history across purges).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: u64,
-    time: u64,
     dirty: u64,
     in_stack: bool,
 }
 
 const EMPTY_SLOT: Slot = Slot {
     key: EMPTY,
-    time: 0,
     dirty: 0,
     in_stack: false,
 };
@@ -272,6 +137,10 @@ const EMPTY_SLOT: Slot = Slot {
 struct BlockTable {
     slots: Vec<Slot>,
     len: usize,
+    /// Indices of the in-stack slots: pushed when a slot enters the
+    /// stack, drained by a purge. Only these can be dirty or sit in a
+    /// recency array.
+    resident: Vec<u32>,
 }
 
 impl BlockTable {
@@ -279,6 +148,7 @@ impl BlockTable {
         BlockTable {
             slots: vec![EMPTY_SLOT; 1024],
             len: 0,
+            resident: Vec::new(),
         }
     }
 
@@ -306,7 +176,6 @@ impl BlockTable {
             if k == EMPTY {
                 self.slots[i] = Slot {
                     key,
-                    time: 0,
                     dirty: 0,
                     in_stack: false,
                 };
@@ -317,10 +186,12 @@ impl BlockTable {
         }
     }
 
+    /// Doubles the table; slots move, so the resident list is rebuilt.
     fn grow(&mut self) {
         let doubled = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; doubled]);
         let mask = self.slots.len() - 1;
+        self.resident.clear();
         for s in old {
             if s.key == EMPTY {
                 continue;
@@ -330,13 +201,16 @@ impl BlockTable {
                 i = (i + 1) & mask;
             }
             self.slots[i] = s;
+            if s.in_stack {
+                self.resident.push(i as u32);
+            }
         }
     }
 }
 
 /// A shared-stack group: configurations with equal block size, switch
 /// policy, LRU replacement and write-back policy, evaluated together on
-/// the Fenwick recency index.
+/// one recency index.
 ///
 /// Counters that are provably identical across the group's members —
 /// access/kind totals, context switches, compulsory misses — are kept
@@ -351,7 +225,6 @@ struct StackGroup {
 
     levels: Vec<Level>,
     table: BlockTable,
-    time: u64,
 
     // Shared across every configuration in the group.
     accesses: u64,
@@ -374,81 +247,73 @@ struct StackGroup {
     dist: Vec<u32>,
 }
 
+/// Occupied slots of one set: the length of its non-empty MRU prefix.
+fn occupancy(set: &[u64]) -> usize {
+    set.partition_point(|&k| k != EMPTY)
+}
+
 impl Level {
-    /// Distance of a resident block in `set` (exact below the
-    /// saturation cap), then move-to-front. `prev_time` locates the
-    /// block's live mark in a Fenwick level; `t_new` is its new mark.
-    fn touch_resident(&mut self, set: usize, key: u64, prev_time: u64, t_new: u64) -> u32 {
-        match &mut self.index {
-            LevelIndex::Sat { cap: 1, slots } => {
-                // Direct-mapped level: the set holds one block.
-                let s = &mut slots[set];
-                let d = (*s != key) as u32;
-                *s = key;
-                d
+    fn set_mut(&mut self, set: usize) -> &mut [u64] {
+        let cap = self.cap as usize;
+        &mut self.slots[set * cap..(set + 1) * cap]
+    }
+
+    /// Distance of a resident block in `set` (exact below the cap),
+    /// then move-to-front.
+    fn touch_resident(&mut self, set: usize, key: u64) -> u32 {
+        if self.cap == 1 {
+            // Direct-mapped level: the set holds one block.
+            let s = &mut self.slots[set];
+            let d = (*s != key) as u32;
+            *s = key;
+            return d;
+        }
+        let s = self.set_mut(set);
+        match s.iter().position(|&k| k == key) {
+            Some(j) => {
+                s[..=j].rotate_right(1);
+                j as u32
             }
-            LevelIndex::Sat { cap, slots } => {
-                let cap = *cap as usize;
-                let s = &mut slots[set * cap..(set + 1) * cap];
-                match s.iter().position(|&k| k == key) {
-                    Some(j) => {
-                        s[..=j].rotate_right(1);
-                        j as u32
-                    }
-                    None => {
-                        s.rotate_right(1);
-                        s[0] = key;
-                        cap as u32
-                    }
-                }
-            }
-            LevelIndex::Fen { sets } => {
-                let f = &mut sets[set];
-                let d = f.count_after(prev_time);
-                f.remove(prev_time);
-                f.push(t_new);
-                d
+            None => {
+                // Fell off the end: the set is full, every slot shifts.
+                s.rotate_right(1);
+                s[0] = key;
+                s.len() as u32
             }
         }
     }
 
-    /// Inserts a block with no live mark (first touch or post-purge) at
-    /// the top of the recency order.
-    fn touch_absent(&mut self, set: usize, key: u64, t_new: u64) {
-        match &mut self.index {
-            LevelIndex::Sat { cap: 1, slots } => slots[set] = key,
-            LevelIndex::Sat { cap, slots } => {
-                let cap = *cap as usize;
-                let s = &mut slots[set * cap..(set + 1) * cap];
-                s.rotate_right(1);
-                s[0] = key;
-            }
-            LevelIndex::Fen { sets } => sets[set].push(t_new),
+    /// Inserts a block that is not in the stack (first touch or
+    /// post-purge) at the top of the recency order.
+    fn touch_absent(&mut self, set: usize, key: u64) {
+        if self.cap == 1 {
+            self.slots[set] = key;
+            return;
         }
+        let s = self.set_mut(set);
+        // Only the occupied prefix moves, so a wide set that is still
+        // filling does not pay a full-width shift per insertion.
+        let n = occupancy(s).min(s.len() - 1);
+        s[..=n].rotate_right(1);
+        s[0] = key;
     }
 
     /// Current distance of a block without reordering (saturated at the
     /// cap), for the end-of-trace residency checks.
-    fn position(&self, set: usize, key: u64, time: u64) -> u32 {
-        match &self.index {
-            LevelIndex::Sat { cap, slots } => {
-                let cap = *cap as usize;
-                let s = &slots[set * cap..(set + 1) * cap];
-                s.iter().position(|&k| k == key).unwrap_or(cap) as u32
-            }
-            LevelIndex::Fen { sets } => sets[set].count_after(time),
-        }
+    fn position(&self, set: usize, key: u64) -> u32 {
+        let cap = self.cap as usize;
+        let s = &self.slots[set * cap..(set + 1) * cap];
+        s.iter().position(|&k| k == key).unwrap_or(cap) as u32
     }
 
-    fn clear(&mut self) {
-        match &mut self.index {
-            LevelIndex::Sat { slots, .. } => slots.fill(EMPTY),
-            LevelIndex::Fen { sets } => {
-                for s in sets {
-                    s.clear();
-                }
-            }
-        }
+    /// Empties `set`, returning how many blocks it held (the true live
+    /// count saturated at the cap — enough, since every `assoc` at the
+    /// level is at most the cap).
+    fn purge_set(&mut self, set: usize) -> u32 {
+        let s = self.set_mut(set);
+        let live = occupancy(s);
+        s[..live].fill(EMPTY);
+        live as u32
     }
 }
 
@@ -488,18 +353,10 @@ impl StackGroup {
             .iter()
             .zip(cfg_ids)
             .zip(&max_assoc)
-            .map(|((&s, ids), &a_max)| Level {
+            .map(|((&s, ids), &cap)| Level {
                 mask: ((1u64 << s) - 1) as u32,
-                index: if a_max <= SAT_CAP_MAX {
-                    LevelIndex::Sat {
-                        cap: a_max,
-                        slots: vec![EMPTY; (1usize << s) * a_max as usize],
-                    }
-                } else {
-                    LevelIndex::Fen {
-                        sets: vec![SetFen::default(); 1usize << s],
-                    }
-                },
+                cap,
+                slots: vec![EMPTY; (1usize << s) * cap as usize],
                 cfg_ids: ids,
             })
             .collect();
@@ -512,7 +369,6 @@ impl StackGroup {
             dist: vec![0; levels.len()],
             levels,
             table: BlockTable::new(),
-            time: 0,
             accesses: 0,
             ifetches: 0,
             reads: 0,
@@ -559,78 +415,60 @@ impl StackGroup {
     /// every surviving dirty bit counts a write-back (resident ⇒ the
     /// purge writes it back now, non-resident ⇒ its past eviction did) —
     /// then the index is emptied (first-touch history is kept, matching
-    /// `Cache`). The resident lines of a configuration with `A` ways
-    /// are the top `min(A, live)` of each set, read straight off the
-    /// per-set live counts — one flat walk per level, shared by every
-    /// configuration at that level, no per-call allocation.
+    /// `Cache`). Only the in-stack blocks are visited: each one settles
+    /// its dirty bits and, at every level, empties its set if that set
+    /// is still occupied. The resident lines of a configuration with `A`
+    /// ways are the top `min(A, occupancy)` of each set. Every occupied
+    /// set holds only in-stack blocks, so the walk empties the whole
+    /// index.
     fn flush(&mut self) {
-        for lvl in &self.levels {
-            match &lvl.index {
-                LevelIndex::Sat { cap, slots } => {
-                    let cap = *cap as usize;
-                    for set in slots.chunks_exact(cap) {
-                        // MRU order keeps a non-empty prefix, so the
-                        // occupancy (true live count saturated at the
-                        // cap) is the prefix length — enough, since
-                        // every `assoc` here is at most the cap.
-                        let live = set.iter().take_while(|&&k| k != EMPTY).count() as u32;
-                        if live == 0 {
-                            continue;
-                        }
-                        for &i in &lvl.cfg_ids {
-                            self.invalidations[i] += live.min(self.cfgs[i].assoc) as u64;
-                        }
-                    }
-                }
-                LevelIndex::Fen { sets } => {
-                    for set in sets {
-                        if set.live == 0 {
-                            continue;
-                        }
-                        for &i in &lvl.cfg_ids {
-                            self.invalidations[i] += set.live.min(self.cfgs[i].assoc) as u64;
-                        }
+        for &idx in &self.table.resident {
+            let s = &mut self.table.slots[idx as usize];
+            if s.dirty != 0 {
+                for (i, c) in self.cfgs.iter().enumerate() {
+                    if s.dirty & c.bit != 0 {
+                        self.writebacks[i] += 1;
                     }
                 }
             }
-        }
-        for s in &self.table.slots {
-            if s.dirty == 0 {
-                continue;
-            }
-            for (i, c) in self.cfgs.iter().enumerate() {
-                if s.dirty & c.bit != 0 {
-                    self.writebacks[i] += 1;
-                }
-            }
-        }
-        for lvl in &mut self.levels {
-            lvl.clear();
-        }
-        for s in &mut self.table.slots {
             s.in_stack = false;
             s.dirty = 0;
+            let blockno = s.key as u32;
+            for lvl in &mut self.levels {
+                let live = lvl.purge_set((blockno & lvl.mask) as usize);
+                if live == 0 {
+                    continue;
+                }
+                for &i in &lvl.cfg_ids {
+                    self.invalidations[i] += live.min(self.cfgs[i].assoc) as u64;
+                }
+            }
         }
+        self.table.resident.clear();
+        debug_assert!(self
+            .levels
+            .iter()
+            .all(|l| l.slots.iter().all(|&k| k == EMPTY)));
     }
 
     /// End-of-trace settlement for the lazy write-back accounting: a
     /// dirty bit on a block that is no longer resident records an
     /// eviction-time write-back that was deferred; resident dirty lines
     /// stay uncounted (they are still in the cache), matching `Cache`.
-    /// Residency is one recency query per surviving dirty bit.
+    /// Only in-stack blocks can be dirty; residency is one recency query
+    /// per level.
     fn finish(&mut self) {
-        for s in &self.table.slots {
+        for &idx in &self.table.resident {
+            let s = self.table.slots[idx as usize];
             if s.dirty == 0 {
                 continue;
             }
             let blockno = s.key as u32;
+            for (d, lvl) in self.dist.iter_mut().zip(&self.levels) {
+                *d = lvl.position((blockno & lvl.mask) as usize, s.key);
+            }
             for (i, c) in self.cfgs.iter().enumerate() {
-                if s.dirty & c.bit == 0 {
-                    continue;
-                }
-                let lvl = &self.levels[c.level];
-                let set = (blockno & lvl.mask) as usize;
-                if lvl.position(set, s.key, s.time) >= c.assoc {
+                if s.dirty & c.bit != 0 && self.dist[c.level] >= c.assoc {
                     self.writebacks[i] += 1;
                 }
             }
@@ -651,8 +489,6 @@ impl StackGroup {
         };
         let blockno = addr / self.block_size;
         let key = ((pid_tag as u64) << 32) | blockno as u64;
-        self.time += 1;
-        let t_new = self.time;
         let (idx, is_new) = self.table.find_or_insert(key);
         let slot = self.table.slots[idx];
 
@@ -664,9 +500,8 @@ impl StackGroup {
             // stack distance (exact wherever it matters); a hit in
             // `(2^s, A)` iff the distance at level s is below A. The
             // query and the move-to-front reorder share one pass.
-            for (li, lvl) in self.levels.iter_mut().enumerate() {
-                let set = (blockno & lvl.mask) as usize;
-                self.dist[li] = lvl.touch_resident(set, key, slot.time, t_new);
+            for (d, lvl) in self.dist.iter_mut().zip(&mut self.levels) {
+                *d = lvl.touch_resident((blockno & lvl.mask) as usize, key);
             }
             let kind_hits = match kind {
                 AccessKind::IFetch => &mut self.ifetch_hits,
@@ -696,9 +531,9 @@ impl StackGroup {
                 self.cold += 1;
             }
             for lvl in &mut self.levels {
-                let set = (blockno & lvl.mask) as usize;
-                lvl.touch_absent(set, key, t_new);
+                lvl.touch_absent((blockno & lvl.mask) as usize, key);
             }
+            self.table.resident.push(idx as u32);
         }
 
         // Allocate-on-miss everywhere (write-back groups only), so every
@@ -707,7 +542,6 @@ impl StackGroup {
         // clean unless this access writes it.
         let dirty = (old_dirty & hit_mask) | if is_write { self.all_mask } else { 0 };
         let s = &mut self.table.slots[idx];
-        s.time = t_new;
         s.dirty = dirty;
         s.in_stack = true;
     }
@@ -985,33 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn high_associativity_levels_use_fenwick_and_match() {
-        // 32 ways exceeds SAT_CAP_MAX, so these levels run on the
-        // Fenwick recency trees; mixing in narrow configurations at the
-        // same block size shares the group across both index kinds.
-        let t = trace_with_switches();
-        let mut cfgs = vec![
-            CacheConfig::builder()
-                .size(1024)
-                .block(16)
-                .assoc(32)
-                .build()
-                .unwrap(),
-            CacheConfig::builder()
-                .size(4096)
-                .block(16)
-                .assoc(32)
-                .build()
-                .unwrap(),
-        ];
-        cfgs.extend(sweep_configs(SwitchPolicy::Ignore));
-        let many = simulate_many(&t, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
-        }
-    }
-
-    #[test]
     fn streamed_matches_in_memory() {
         let t = trace_with_switches();
         for switch in [
@@ -1026,30 +833,60 @@ mod tests {
     }
 
     #[test]
-    fn set_fen_compacts_and_stays_exact() {
-        let mut f = SetFen::default();
-        // Insert 1..=200, then repeatedly move the oldest live mark to
-        // the top — lots of dead slots, forcing compactions.
-        for t in 1..=200u64 {
-            f.push(t);
+    fn high_associativity_levels_match() {
+        // 32 and 64 ways, up to fully associative (1 KiB / 16 B = one
+        // 64-way set), share the group with narrow configurations at
+        // the same block size; wide levels scan and shift whole sets.
+        let t = trace_with_switches();
+        let mut cfgs: Vec<CacheConfig> = [(1024u32, 32u32), (4096, 32), (1024, 64), (4096, 64)]
+            .into_iter()
+            .map(|(size, assoc)| {
+                CacheConfig::builder()
+                    .size(size)
+                    .block(16)
+                    .assoc(assoc)
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        cfgs.extend(sweep_configs(SwitchPolicy::Ignore));
+        let many = simulate_many(&t, &cfgs);
+        for (cfg, got) in cfgs.iter().zip(&many) {
+            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
         }
-        let mut times: std::collections::VecDeque<u64> = (1..=200).collect();
-        let mut clock = 200u64;
-        for _ in 0..500 {
-            let old = times.pop_front().unwrap();
-            clock += 1;
-            f.remove(old);
-            f.push(clock);
-            times.push_back(clock);
-            assert_eq!(f.live, 200);
-            // Distance of the oldest mark is everything above it.
-            assert_eq!(f.count_after(*times.front().unwrap()), 199);
-            assert_eq!(f.count_after(clock), 0);
+    }
+
+    #[test]
+    fn purges_stay_exact_across_block_table_growth() {
+        // Thousands of distinct blocks force the block table to grow
+        // (moving every slot) between purges, so the resident list the
+        // purge walks must follow the moves.
+        let mut t = Trace::new();
+        for round in 0..8u32 {
+            t.push(TraceRecord::new(RecordKind::CtxSwitch, 0, 0, 1, true));
+            for b in 0..1500u32 {
+                let kind = if b % 3 == 0 {
+                    RecordKind::Write
+                } else {
+                    RecordKind::Read
+                };
+                let addr = (round * 1100 + b) * 16;
+                t.push(TraceRecord::new(kind, addr, 4, 1, false));
+            }
         }
-        assert!(
-            f.times.len() <= 2 * 200 + 64,
-            "dead slots must stay bounded, got {}",
-            f.times.len()
+        let mut cfgs = sweep_configs(SwitchPolicy::Flush);
+        cfgs.push(
+            CacheConfig::builder()
+                .size(4096)
+                .block(16)
+                .assoc(256)
+                .switch_policy(SwitchPolicy::Flush)
+                .build()
+                .unwrap(),
         );
+        let many = simulate_many(&t, &cfgs);
+        for (cfg, got) in cfgs.iter().zip(&many) {
+            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
+        }
     }
 }

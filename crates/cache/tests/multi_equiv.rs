@@ -2,10 +2,11 @@
 //! per-configuration [`simulate`] — every [`CacheStats`] field must be
 //! identical for every configuration of a random sweep over a random
 //! access stream with context switches, under all switch policies, at
-//! way counts on both sides of the saturated-array cap (so both stack
-//! tiers are checked), and including the non-LRU / write-through
-//! configurations that take the grouped-replay fallback. Per-config
-//! replay is the stack engine's only oracle.
+//! way counts from direct-mapped through 32 and 64 ways to fully
+//! associative (so narrow and wide recency arrays, and the
+//! direct-mapped compare-and-store, are all checked), and including the
+//! non-LRU / write-through configurations that take the grouped-replay
+//! fallback. Per-config replay is the stack engine's only oracle.
 
 use atum_cache::{
     simulate, simulate_many, simulate_many_stream, CacheConfig, Replacement, SwitchPolicy,
@@ -65,20 +66,28 @@ fn switch_policy() -> impl Strategy<Value = SwitchPolicy> {
 }
 
 /// A stack-engine-eligible configuration: LRU + write-back-allocate.
-/// 32 ways exceeds the 16-way saturated-array cap, so those levels run
-/// on the Fenwick recency trees.
+/// `None` ways is fully associative: one set as wide as the cache has
+/// lines (up to 1024 ways).
 fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
     (
         prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048), Just(8192)],
         prop_oneof![Just(8u32), Just(16), Just(32)],
-        prop_oneof![Just(1u32), Just(2), Just(4), Just(8), Just(32)],
+        prop_oneof![
+            Just(Some(1u32)),
+            Just(Some(2)),
+            Just(Some(4)),
+            Just(Some(8)),
+            Just(Some(32)),
+            Just(Some(64)),
+            Just(None),
+        ],
         switch_policy(),
     )
         .prop_filter_map("valid config", |(size, block, assoc, switch)| {
             CacheConfig::builder()
                 .size(size)
                 .block(block)
-                .assoc(assoc)
+                .assoc(assoc.unwrap_or(size / block))
                 .switch_policy(switch)
                 .build()
                 .ok()
